@@ -11,7 +11,11 @@ New debuggees arrive two ways:
 * explicitly, via :meth:`attach`;
 * automatically, when a debuggee forks: the child's fork handler writes
   its port into the rendezvous file and the client's
-  :class:`~repro.util.portfile.PortFileWatcher` dials it (Fig. 6).
+  :class:`~repro.util.portfile.PortFileWatcher` dials it (Fig. 6).  An
+  attached parent's ``process_forked`` event names the same port first,
+  and a watching client dials it at once; both paths end in
+  :meth:`DebugClient._on_port_record` on the dispatcher thread, so a pid
+  is attached once whichever arrives first.
 """
 
 from __future__ import annotations
@@ -359,6 +363,16 @@ class DebugClient:
             # before the child's own announce/attach completes.
             self.process_tree.observe(pid=payload["child_pid"],
                                       parent_pid=payload["parent_pid"])
+            if self._watcher is not None and "port" in payload:
+                # The fast path of the rendezvous: the parent names the
+                # port phase A bound for the child, so dial it now; the
+                # port file stays the source of truth.
+                record = PortRecord(
+                    pid=payload["child_pid"],
+                    parent_pid=payload["parent_pid"],
+                    host=payload.get("host", session.host),
+                    port=payload["port"], created_at=time.time())
+                self.reactor.defer(lambda: self._on_port_record(record))
         elif event == protocol.EV_SERVER_EXIT:
             self.process_tree.mark_exited(session.pid)
             session.close()

@@ -19,7 +19,7 @@ import sys
 import threading
 from typing import List, Optional, Set
 
-from ..util.ids import UEId
+from ..util.ids import UEId, is_infra_thread
 from ..util.ringlog import debug_event
 
 
@@ -73,7 +73,9 @@ class DisturbMode:
 
         Returns the stop reason for a first-ever-seen UE, else None.  A
         UE in a different process than the primary is a freshly forked
-        child (a new *process*); same pid means a new *thread*.
+        child (a new *process*); same pid means a new *thread*.  *ue* is
+        the calling thread; the debugger's own ``dionea-*`` threads are
+        never disturbed.
         """
         with self._lock:
             if ue in self._seen:
@@ -83,6 +85,12 @@ class DisturbMode:
                 self._primary = ue
                 return None
             if not self.enabled or ue == self._primary:
+                return None
+            if is_infra_thread():
+                # The debugger's own threads (a forked child's new
+                # listener above all) are born traced and reach the
+                # engine before their first line untraces them; parking
+                # one would cut the child off from its client.
                 return None
             is_new_process = ue.pid != self._primary.pid
             if is_new_process and not self.stop_new_processes:

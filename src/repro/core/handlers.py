@@ -19,6 +19,11 @@
                             debuggee, and finally re-enable the tracing
                             that was disabled in A.
 
+One addition to the paper's phases speeds up following a fork: A also
+binds the child's listen endpoint, B closes the parent's copy and hands
+its port to the ``process_forked`` event, and C adopts it instead of
+binding a new one, so the client can dial the child before it announces.
+
 The handlers are assembled here as one :class:`~repro.forkhooks.registry.
 HandlerSet` so their relative order with any other registered handlers
 follows POSIX ``pthread_atfork`` discipline (section 5.2: other fork
@@ -87,10 +92,16 @@ def install_dionea_handlers(
         # TraceBackend seam (settrace: flag check; sys.monitoring: event
         # mask zeroed) so both backends go dark for the fork window.
         engine.disable()
+        # A — bind the child's listener now, close-on-exec and listening,
+        # so the parent can publish its port the moment fork(2) returns.
+        server.prebind_child_endpoint()
         debug_event("handlers", "phase A complete (locks held, trace off)")
 
     def handle_parent_at_fork() -> None:
-        # B — mirror image of A, in the parent.
+        # B — mirror image of A, in the parent.  Also the undo of a
+        # failed fork(2) or prepare, so the pre-bound endpoint is closed
+        # on every path where no child adopts it.
+        server.release_child_endpoint()
         engine.enable()
         sync_registry.release_ownership()
         debug_event("handlers", "phase B complete (parent resumed)")
@@ -100,7 +111,8 @@ def install_dionea_handlers(
         # "Initialize the synchronization objects,"
         sync_registry.reinit_after_fork()
         # "close the inherited sockets, initialize the data structures,
-        #  create a listener thread, ... inform the client":
+        #  create a listener thread, ... inform the client" (the
+        #  listener runs on the endpoint phase A bound):
         GLOBAL_LOG.reset_after_fork()
         if deadlock is not None:
             deadlock.reset_after_fork()

@@ -21,7 +21,7 @@ from typing import Any, Callable, Dict, TYPE_CHECKING
 from ..tracing.control import ResumeCommand
 from ..tracing.frames import capture_frame, evaluate_in_frame
 from ..util.errors import BreakpointError, CommandError, TraceError
-from ..util.ids import UEId, describe_ue
+from ..util.ids import UEId, describe_ue, is_infra_thread
 from ..util.serde import render_value
 from . import protocol
 
@@ -100,7 +100,7 @@ def cmd_threads(server: "DebugServer", args: Dict[str, Any]) -> Any:
     ues = set(server.engine.known_ues())
     pid = os.getpid()
     for thread in threading.enumerate():
-        if thread.ident is None or thread.name.startswith("dionea-"):
+        if thread.ident is None or is_infra_thread(thread):
             continue
         ues.add(UEId(pid, thread.ident))
     out = []

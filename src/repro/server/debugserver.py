@@ -106,6 +106,11 @@ class DebugServer:
         self.on_detach: Optional[Callable[[str], None]] = None
         self._detached = False
         self._detach_lock = threading.Lock()
+        #: the next child's listen endpoint, bound in fork phase A, and
+        #: its port once phase B let go of it.  Thread-local: the whole
+        #: prepare -> fork -> parent/child bracket runs on the one
+        #: thread that called fork(), and two threads may fork at once.
+        self._fork_slot = threading.local()
 
     # -- lifecycle --------------------------------------------------------------
 
@@ -180,17 +185,24 @@ class DebugServer:
         # Terminal black-box flush FIRST: "why did the debugger let go"
         # must hit disk before any teardown step can wedge or die.
         BLACKBOX.force_flush(f"detach:{reason}", terminal=True)
+        pid = os.getpid()
         # Tombstone BEFORE the sockets go: the instant the listener
         # dies, a watching client starts redialing unless told not to.
         if self.portfile is not None:
             try:
-                self.portfile.tombstone(self.session.pid, host=self._host,
+                self.portfile.tombstone(pid, host=self._host,
                                         reason=reason)
             except (OSError, ReproError):
                 debug_event("server", "portfile tombstone failed")
-        self._shutdown(protocol.make_event(
-            protocol.EV_DETACHED,
-            {"pid": self.session.pid, "reason": reason}))
+        farewell = protocol.make_event(protocol.EV_DETACHED,
+                                       {"pid": pid, "reason": reason})
+        if self.session.pid != pid:
+            # A child degrading before phase C took the server over: the
+            # sockets and the client are still the parent's.  No
+            # farewell, and no shutdown(2) on the shared sockets.
+            self._drop_inherited_sockets()
+            farewell = None
+        self._shutdown(farewell)
         callback = self.on_detach
         if callback is not None:
             try:
@@ -204,6 +216,9 @@ class DebugServer:
 
     def _shutdown(self, farewell: Optional[dict]) -> None:
         """Common teardown for close() and detach(): release everything."""
+        # A degraded child may detach before phase C adopted the
+        # pre-bound endpoint: close it, or a dial to it hangs on hello.
+        self._close_child_endpoint()
         if not self._started:
             return
         self._started = False
@@ -233,6 +248,8 @@ class DebugServer:
                             + traceback.format_exc())
             self._listener.close()
             self._listener = None
+        elif self._endpoint is not None:
+            self._endpoint.close()
         self._endpoint = None
 
     def heal_listener(self, why: str) -> None:
@@ -482,13 +499,48 @@ class DebugServer:
 
     # -- fork support -----------------------------------------------------------------------
 
+    def prebind_child_endpoint(self) -> None:
+        """Fork handler phase A, server part: bind the child's listener.
+
+        The endpoint is listening (and close-on-exec) before fork(2), so
+        the parent can hand its port to the client in ``process_forked``
+        and the client can dial while the child is still in phase C: the
+        connect waits in the accept backlog until the child's listener
+        thread starts.
+        """
+        self._close_child_endpoint()
+        self._fork_slot.port = None
+        self._fork_slot.endpoint = ListenEndpoint(self._host, 0)
+
+    def release_child_endpoint(self) -> None:
+        """Fork handler phase B (and every undo of A), server part.
+
+        Drop the parent's copy of the pre-bound endpoint and keep its
+        port for :meth:`record_child`.  ``close(2)`` only: the child's
+        copy shares the socket, and after a failed fork(2) this was the
+        only copy, so the socket goes away with it.
+        """
+        port = self._close_child_endpoint()
+        if port is not None:
+            self._fork_slot.port = port
+
+    def _close_child_endpoint(self) -> Optional[int]:
+        """Close this thread's pre-bound endpoint, if any; returns its port."""
+        endpoint = getattr(self._fork_slot, "endpoint", None)
+        if endpoint is None:
+            return None
+        self._fork_slot.endpoint = None
+        endpoint.close()
+        return endpoint.port
+
     def reinit_after_fork(self) -> None:
         """Fork handler phase C, server part (paper section 5.4 C).
 
         Close the *inherited* sockets (they belong to the parent's
         session — Fig. 5), rebuild the metadata block for the child
-        (Fig. 4), open a fresh endpoint, start a fresh listener thread,
-        and announce the new server through the port file (Fig. 6).
+        (Fig. 4), adopt the endpoint phase A bound for this child,
+        start a fresh listener thread, and announce the new server
+        through the port file (Fig. 6).
         """
         # 0. Forget the parent's pending grace timer, if any: the timer
         #    thread did not survive the fork, and the child's session is
@@ -496,20 +548,8 @@ class DebugServer:
         with self._grace_lock:
             self._grace_timer = None
 
-        # 1. Drop inherited sockets.  Closing our descriptor copies does
-        #    not disturb the parent — but shutdown(2) WOULD (it acts on
-        #    the shared socket), so inherited connections are closed
-        #    without shutdown.
-        if self._listener is not None:
-            # The listener *thread* did not survive the fork; only its
-            # data structures did.  Close the connection and endpoint fds.
-            for conn in list(self._listener.connections()):
-                conn.close(shutdown=False)
-            self._listener.endpoint.close()
-            self._listener = None
-        elif self._endpoint is not None:
-            self._endpoint.close()
-        self._endpoint = None
+        # 1. Drop inherited sockets.
+        self._drop_inherited_sockets()
 
         # 2. Rewrite the metadata block with child identity.
         self.session.rewrite_for_child()
@@ -517,8 +557,13 @@ class DebugServer:
             self._last_stops.clear()
         self.output_capture.reset_after_fork()
 
-        # 3. Fresh endpoint + listener thread ("create a listener thread").
-        self._endpoint = ListenEndpoint(self._host, 0)
+        # 3. The endpoint phase A bound for us + a fresh listener thread
+        #    ("create a listener thread").  A client that got its port
+        #    from the parent's process_forked event may already be
+        #    waiting in its accept backlog.
+        endpoint = getattr(self._fork_slot, "endpoint", None)
+        self._fork_slot.endpoint = None
+        self._endpoint = endpoint or ListenEndpoint(self._host, 0)
         self._listener = Listener(
             self._endpoint,
             on_request=self._handle_request,
@@ -540,8 +585,35 @@ class DebugServer:
         debug_event("server",
                     f"child server re-established on port {self.port}")
 
+    def _drop_inherited_sockets(self) -> None:
+        """Child side: close the parent's sockets without touching them.
+
+        Closing our descriptor copies does not disturb the parent — but
+        shutdown(2) WOULD (it acts on the shared socket), so inherited
+        connections are closed without shutdown.  The listener *thread*
+        did not survive the fork; only its data structures did.
+        """
+        if self._listener is not None:
+            for conn in list(self._listener.connections()):
+                conn.close(shutdown=False)
+            self._listener.endpoint.close()
+            self._listener = None
+        elif self._endpoint is not None:
+            self._endpoint.close()
+        self._endpoint = None
+
     def record_child(self, pid: int) -> None:
-        """Parent side: track forked child and tell the client (Fig. 1)."""
+        """Parent side: track forked child and tell the client (Fig. 1).
+
+        The event carries the port phase A bound for the child, so a
+        watching client can dial it at once instead of waiting for the
+        child's port-file announce.
+        """
         self.session.record_child(pid)
-        self.emit_event(protocol.EV_PROCESS_FORKED,
-                        {"parent_pid": self.session.pid, "child_pid": pid})
+        payload = {"parent_pid": self.session.pid, "child_pid": pid}
+        port = getattr(self._fork_slot, "port", None)
+        if port is not None:
+            self._fork_slot.port = None
+            payload["host"] = self._host
+            payload["port"] = port
+        self.emit_event(protocol.EV_PROCESS_FORKED, payload)

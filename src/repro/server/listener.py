@@ -13,7 +13,9 @@ non-blocking (``continue`` releases a gate; it never waits for the UE).
 
 The listener is restarted from scratch in forked children (fork handler
 phase C: *"create a listener thread"*): threads do not survive fork, so
-the child builds a brand-new :class:`Listener` on a brand-new socket.
+the child builds a brand-new :class:`Listener`.  Its socket is the one
+fork phase A bound for this child before fork(2); connects that arrived
+before the thread started wait in that socket's accept backlog.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ debug commands."*
 Mapped here:
 
 * :class:`ListenEndpoint` — the accept socket (bound to an ephemeral port
-  so forked children can always grab a fresh one);
+  so every forked child gets a fresh one, bound in fork phase A);
 * :class:`Connection` — one accepted socket, typed by the role named in
   its hello frame (``command`` or ``source``).
 
@@ -170,13 +170,14 @@ def connect_endpoint(host: str, port: int, role: str, pid: int,
     Returns the connected socket; the caller reads the hello_ack.
 
     A refused connect is retried with exponential backoff, but only for
-    *refused_grace* seconds: a freshly forked child announces its port
-    the instant the socket is bound, so the client routinely races the
-    child's listener thread — a refusal inside that tiny window is a
-    retry, not a failure.  Past the grace window the port is genuinely
-    dead and the refusal propagates promptly (a watcher chewing through
-    stale port records must not stall on each one).  Injected EINTR
-    (point ``net.connect``) is retried until *timeout*.
+    *refused_grace* seconds.  A live debug server never refuses: a
+    forked child's endpoint is bound and listening from fork phase A
+    on, so a dial that beats the child's listener thread waits in the
+    accept backlog instead.  The short grace only absorbs transients
+    such as a watchdog moving the listener to a fresh port.  Past it
+    the port is dead and the refusal propagates promptly (a watcher
+    chewing through stale port records must not stall on each one).
+    Injected EINTR (point ``net.connect``) is retried until *timeout*.
     """
     if role not in protocol.VALID_ROLES:
         raise ProtocolError(f"invalid role {role!r}")

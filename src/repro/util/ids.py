@@ -20,6 +20,7 @@ import itertools
 import os
 import threading
 from dataclasses import dataclass
+from typing import Optional
 
 
 @dataclass(frozen=True, order=True)
@@ -71,6 +72,19 @@ class IdAllocator:
         """Restart numbering (called from the child-side fork handler)."""
         with self._lock:
             self._counter = itertools.count(1)
+
+
+#: name prefix of every debugger infrastructure thread (listener,
+#: watchdog, reactor, watcher, sandbox ...): such a thread is never a
+#: debuggee UE, not even before its first line clears its trace hook.
+INFRA_THREAD_PREFIX = "dionea-"
+
+
+def is_infra_thread(thread: Optional[threading.Thread] = None) -> bool:
+    """Is *thread* (default: the calling thread) a debugger thread?"""
+    if thread is None:
+        thread = threading.current_thread()
+    return thread.name.startswith(INFRA_THREAD_PREFIX)
 
 
 def untrace_current_thread() -> None:

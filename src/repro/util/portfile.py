@@ -6,10 +6,18 @@ one session.  *"Dionea's fork handlers use a temporary file, where the port
 number of the most recently created process is saved."*  The client watches
 that file and dials the new debug server.
 
-The file lives next to a lock file and is written atomically
-(write-to-temp + ``os.rename``) so a watcher never observes a half-written
-record.  Each record is one JSON line; the file is append-only within one
-debug run, which doubles as an audit trail of every fork.
+Each record is one JSON line, appended with a single ``O_APPEND``
+write; only the liveness GC rewrites the file, atomically (write-to-temp
++ ``os.replace``), under a sidecar lock file.  Between GC passes the file
+is append-only, which doubles as an audit trail of every fork, and the
+watcher reads only the lines appended since its last poll.
+
+The file stays the authoritative rendezvous: it carries the tombstones,
+it serves clients that are not attached to the forking parent, and it
+is the only path under the ``register_at_fork`` backend.  A client that
+is attached to the parent learns the child's port earlier, from the
+parent's ``process_forked`` event, and dials it at once; that event is
+the fast path, and both routes end in the same dial.
 """
 
 from __future__ import annotations
@@ -23,9 +31,10 @@ import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import IO, Callable, Dict, List, Optional
 
 from .errors import RendezvousError
+from .ringlog import debug_event
 
 
 #: record states: a ``live`` record is a dialable rendezvous; a
@@ -295,13 +304,78 @@ class PortFileWatcher:
     #: external timer source (``scheduler(delay, fn)``) when the poll is
     #: driven off a reactor timer wheel instead of a dedicated thread
     _scheduler: Optional[Callable[[float, Callable[[], None]], object]] = None
+    #: the file generation being read, held open so its inode cannot be
+    #: recycled by a later GC rewrite while we still follow it
+    _fh: Optional[IO[bytes]] = None
+    #: byte offset of the first line of ``_fh`` not yet parsed
+    _offset: int = 0
+    #: guards ``_fh`` between a poll and :meth:`stop` on another thread
+    _fh_lock: threading.Lock = field(default_factory=threading.Lock)
+
+    def _read_new(self) -> List[PortRecord]:
+        """Records appended since the last call.
+
+        Reading restarts from byte 0 when the GC's ``os.replace`` put a
+        new file (a new inode) at the path, or when the file shrank.  A
+        last line still missing its newline is left for the next poll.
+        """
+        with self._fh_lock:
+            data = self._read_appended()
+        records = []
+        for line in data.decode("utf-8", "replace").splitlines():
+            if not line.strip():
+                continue
+            try:
+                records.append(PortRecord.from_json(line))
+            except RendezvousError as exc:
+                # A whole line that does not parse will never heal;
+                # skip it rather than re-read it every poll.
+                debug_event("portfile", str(exc))
+        return records
+
+    def _read_appended(self) -> bytes:
+        """The complete lines appended since the last read (lock held)."""
+        try:
+            current = os.stat(self.portfile.path)
+        except FileNotFoundError:
+            self._drop_file()
+            return b""
+        fh = self._fh
+        if fh is not None:
+            held = os.fstat(fh.fileno())
+            if ((held.st_ino, held.st_dev)
+                    != (current.st_ino, current.st_dev)
+                    or current.st_size < self._offset):
+                self._drop_file()
+                fh = None
+        if fh is None:
+            try:
+                fh = open(self.portfile.path, "rb")
+            except FileNotFoundError:
+                return b""
+            self._fh, self._offset = fh, 0
+        fh.seek(self._offset)
+        data = fh.read()
+        complete = data[:data.rfind(b"\n") + 1]
+        self._offset += len(complete)
+        return complete
+
+    def _drop_file(self) -> None:
+        fh, self._fh = self._fh, None
+        if fh is not None:
+            fh.close()
+
+    def _close_file(self) -> None:
+        with self._fh_lock:
+            self._drop_file()
 
     def poll_once(self) -> List[PortRecord]:
         """Process any unseen records; returns the new ones (for tests)."""
-        records = self.portfile.read_all()
-        # Tombstones first, regardless of file order: a watcher whose
-        # first poll already sees announce + tombstone (late attach to
-        # an exec'd/daemonized debuggee) must not dial the dead port.
+        records = self._read_new()
+        # Tombstones first, regardless of order within the new lines: a
+        # watcher whose poll sees announce + tombstone together (late
+        # attach to an exec'd/daemonized debuggee) must not dial the
+        # dead port.
         for record in records:
             if not record.tombstoned:
                 continue
@@ -376,8 +450,12 @@ class PortFileWatcher:
             self.poll_once()
         except RendezvousError:
             pass  # torn read: heals next pass, like the thread mode
+        if self._stop.is_set():
+            # stop() raced this poll: drop a file the poll reopened.
+            self._close_file()
+            return
         scheduler = self._scheduler
-        if scheduler is not None and not self._stop.is_set():
+        if scheduler is not None:
             scheduler(self.poll_interval, self._scheduled_tick)
 
     def _run(self) -> None:
@@ -392,6 +470,7 @@ class PortFileWatcher:
                 # torn read heals on the next pass.
                 pass
             self._stop.wait(self.poll_interval)
+        self._close_file()
 
     def stop(self, timeout: float = 2.0) -> None:
         self._stop.set()
@@ -399,6 +478,7 @@ class PortFileWatcher:
             self._thread.join(timeout)
             self._thread = None
         self._scheduler = None
+        self._close_file()
 
     def wait_for_pid(self, pid: int, timeout: float = 5.0) -> PortRecord:
         """Block until a record for *pid* appears (tests and CLI attach)."""

@@ -89,3 +89,24 @@ class TestBookkeeping:
         assert mode.disturbed_ues() == []
         # the child's own surviving thread has a new pid => disturbed
         assert mode.check(CHILD, None) == "disturb"
+
+
+class TestDebuggerThreads:
+    def test_dionea_threads_are_never_disturbed(self):
+        """A debugger thread born after enable (a forked child's listener,
+        a healed listener) is not a debuggee UE."""
+        import threading
+        mode = DisturbMode()
+        mode.mark_primary(MAIN)
+        mode.set_enabled(True)
+        verdicts = {}
+
+        def probe():
+            name = threading.current_thread().name
+            verdicts[name] = mode.check(UEId.current(), None)
+
+        for name in ("dionea-listener-1", "worker"):
+            thread = threading.Thread(target=probe, name=name)
+            thread.start()
+            thread.join(5)
+        assert verdicts == {"dionea-listener-1": None, "worker": "disturb"}
