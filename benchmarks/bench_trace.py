@@ -14,11 +14,16 @@ Three experiments, one JSON artifact (``BENCH_trace.json``):
    physically gone while quiet.  The acceptance bound is ≤ 15%
    (Makefile-gated).
 3. **Armed-with-irrelevant-breakpoint** (informational): the same
-   compute loop with one breakpoint set in a file that never executes.
-   The engine is armed — the hook is back, the specializer is off — but
-   every call resolves through the LineTable probe
-   (``trace.fastpath_hits``).  This is the honest price of *being about
-   to debug* on 3.11; the PEP 669 backend exists to erase it on 3.12+.
+   compute loop with one breakpoint on a line of this file that the
+   loop never reaches.  The engine is armed — the hook is back, the
+   specializer is off — but every call resolves through the LineTable
+   probe (``trace.fastpath_hits``).  This is the honest price of *being
+   about to debug* on 3.11; the PEP 669 backend exists to erase it on
+   3.12+.  A second run puts the breakpoint in a file with no code in
+   the process instead: that breakpoint is *pending* (docs/GUIDE.md
+   §11), so the main thread stays demoted.  The two runs differ only
+   in that property, so the pair shows what pending breakpoints save
+   and what they do not.
 
 Best-of-N timing on all comparisons: the minimum is the run least
 perturbed by the OS, which is the quantity a fixed-cost bound is about.
@@ -92,7 +97,16 @@ def attach_arm(profile_name: str, repeats: int) -> dict:
     }
 
 
-def armed_irrelevant_arm(profile_name: str, repeats: int) -> dict:
+#: Experiment 3's breakpoints: a loaded line the timed loop never runs
+#: (``attach_arm``'s first statement, after its one-line docstring;
+#: it has returned by then), and a file never loaded.
+IRRELEVANT_LOADED = (os.path.abspath(__file__),
+                     attach_arm.__code__.co_firstlineno + 2)
+IRRELEVANT_PENDING = ("/dionea/never/executed.py", 1)
+
+
+def armed_irrelevant_arm(profile_name: str, repeats: int,
+                         where=IRRELEVANT_LOADED) -> dict:
     """Experiment 3: one breakpoint that can never hit (informational)."""
     documents = generate_corpus(get_profile(profile_name))
 
@@ -103,11 +117,14 @@ def armed_irrelevant_arm(profile_name: str, repeats: int) -> dict:
     normal = measure_arm(run, repeats)
     with attached_debugger(program=f"trace-armed-{profile_name}") as dbg:
         engine = dbg.server.engine
-        bp = engine.breakpoints.add("/dionea/never/executed.py", 1)
+        bp = engine.breakpoints.add(*where)
+        pending = bool(engine.pending_breakpoint_files())
         run()
         hits_before = engine.fastpath_hits
         debugging = measure_arm(run, repeats)
         counters = {
+            "pending": pending,
+            "main_demoted": engine._main_demoted,  # noqa: SLF001
             "fastpath_hits": engine.fastpath_hits,
             "fastpath_hits_during_arm": engine.fastpath_hits - hits_before,
             "local_installs": engine.local_installs,
@@ -158,12 +175,18 @@ def main(argv=None) -> int:
           f"backend={attach['engine']['backend']}, "
           f"demoted={attach['engine']['main_demoted']})")
 
-    print("bench-trace: armed-with-irrelevant-breakpoint arm ...",
-          flush=True)
-    armed = armed_irrelevant_arm(args.profile, args.repeats)
-    print(f"  overhead:  {armed['overhead_percent']:+6.2f}% "
-          f"(informational; fastpath hits during arm: "
-          f"{armed['counters']['fastpath_hits_during_arm']})")
+    armed_runs = {}
+    for key, where in (("armed_irrelevant", IRRELEVANT_LOADED),
+                       ("armed_pending", IRRELEVANT_PENDING)):
+        print(f"bench-trace: {key} arm (breakpoint at {where[0]}:"
+              f"{where[1]}) ...", flush=True)
+        armed = armed_irrelevant_arm(args.profile, args.repeats, where)
+        counters = armed["counters"]
+        print(f"  overhead:  {armed['overhead_percent']:+6.2f}% "
+              f"(informational; pending={counters['pending']}, "
+              f"demoted={counters['main_demoted']}, fastpath hits "
+              f"during arm: {counters['fastpath_hits_during_arm']})")
+        armed_runs[key] = armed
 
     pair_ok = pair.overhead_percent <= args.pair_budget_percent
     attach_ok = attach["overhead_percent"] <= args.attach_budget_percent
@@ -182,7 +205,7 @@ def main(argv=None) -> int:
         },
         "attach_arm": dict(attach,
                            budget_percent=args.attach_budget_percent),
-        "armed_irrelevant": armed,
+        **armed_runs,
         "gates": {
             "section7_pair_ok": pair_ok,
             "attach_arm_ok": attach_ok,

@@ -60,6 +60,13 @@ def parse_location(text: str) -> Tuple[str, int, Optional[str]]:
     return file, line, condition
 
 
+def _placed(reply: dict) -> str:
+    """A set_break reply as ``ID at FILE:LINE``, flagged like gdb's
+    ``<PENDING>`` when no code of that file is loaded yet."""
+    pending = " (pending)" if reply.get("pending") else ""
+    return f"{reply['id']} at {reply['file']}:{reply['line']}{pending}"
+
+
 class Shell:
     """Stateful interpreter bound to a :class:`DebugClient`."""
 
@@ -116,15 +123,14 @@ class Shell:
         result = self._session().request(
             "set_break", {"file": file, "line": lineno,
                           "condition": condition})
-        return f"breakpoint {result['id']} at {result['file']}:{result['line']}"
+        return f"breakpoint {_placed(result)}"
 
     def do_tbreak(self, rest: str) -> str:
         file, lineno, condition = parse_location(rest)
         result = self._session().request(
             "set_break", {"file": file, "line": lineno,
                           "condition": condition, "temporary": True})
-        return (f"temporary breakpoint {result['id']} at "
-                f"{result['file']}:{result['line']}")
+        return f"temporary breakpoint {_placed(result)}"
 
     def do_breakf(self, rest: str) -> str:
         if not rest:
@@ -156,6 +162,8 @@ class Shell:
                 flags.append("temporary")
             if bp["condition"]:
                 flags.append(f"if {bp['condition']}")
+            if bp.get("pending"):
+                flags.append("pending")
             suffix = f" ({', '.join(flags)})" if flags else ""
             out.append(f"{bp['id']:3d}  {place}  hits={bp['hit_count']}"
                        f"{suffix}")

@@ -126,7 +126,8 @@ def cmd_set_break(server: "DebugServer", args: Dict[str, Any]) -> Any:
         condition=args.get("condition"),
         temporary=bool(args.get("temporary", False)),
         ignore_count=int(args.get("ignore_count", 0)))
-    return {"id": bp.id, "file": bp.file, "line": bp.line}
+    return {"id": bp.id, "file": bp.file, "line": bp.line,
+            "pending": bp.file in server.engine.pending_breakpoint_files()}
 
 
 @command("set_function_break")
@@ -168,7 +169,11 @@ def cmd_enable_break(server: "DebugServer", args: Dict[str, Any]) -> Any:
 
 @command("breaks")
 def cmd_breaks(server: "DebugServer", args: Dict[str, Any]) -> Any:
-    return server.engine.breakpoints.snapshot_state()
+    rows = server.engine.breakpoints.snapshot_state()
+    pending = server.engine.pending_breakpoint_files()
+    for row in rows:
+        row["pending"] = row["function"] is None and row["file"] in pending
+    return rows
 
 
 # -- watchpoints --------------------------------------------------------------------

@@ -222,7 +222,7 @@ class DebugServer:
         if not self._started:
             return
         self._started = False
-        self._cancel_grace_timer()
+        self._cancel_grace_timer(join=True)
         if self.watchdog is not None:
             self.watchdog.stop()
         if self.profiler is not None and self.profiler.running:
@@ -359,10 +359,15 @@ class DebugServer:
         # Hold parked UEs for the grace window: a restarting client may
         # reattach (resume token) and reclaim them with state intact.
         with self._grace_lock:
-            if self._grace_timer is not None:
+            # Not once shutdown began: closing the listener disconnects
+            # the client too, and a timer started then would outlive us.
+            if self._grace_timer is not None or not self._started:
                 return
             timer = threading.Timer(self.client_loss_grace,
                                     self._on_grace_expired)
+            # dionea-*: disturb mode must never park the thread that
+            # releases the held UEs.
+            timer.name = "dionea-grace"
             timer.daemon = True
             self._grace_timer = timer
             timer.start()
@@ -387,11 +392,15 @@ class DebugServer:
         if released:
             debug_event("server", f"{why}; released {released} UEs")
 
-    def _cancel_grace_timer(self) -> None:
+    def _cancel_grace_timer(self, join: bool = False) -> None:
         with self._grace_lock:
             timer, self._grace_timer = self._grace_timer, None
         if timer is not None:
             timer.cancel()
+            # Shutdown leaves no timer thread behind for the next
+            # server in this process to count.
+            if join and timer is not threading.current_thread():
+                timer.join(1.0)
 
     @property
     def grace_pending(self) -> bool:

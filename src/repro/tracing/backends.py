@@ -8,12 +8,15 @@ backend decides *how* events reach the engine at all:
   the armed/disarmed hook lifecycle: on CPython 3.11+ the mere presence
   of a per-thread trace function disables the specializing interpreter
   (PEP 659), so a "cheap" Python-level dispatch still costs >30 % on
-  compute-bound code.  While the engine is quiet, the main thread
-  therefore *drops its hook entirely* from inside the dispatch, and is
-  re-armed via a signal when a feature goes live (``sys.settrace`` is
-  per-thread and only a signal handler runs code in the main thread on
-  demand).  Non-main threads keep their hooks so asynchronous suspend
-  keeps working unchanged.
+  compute-bound code.  While the engine is idle — quiet, or only
+  pending line breakpoints (see :mod:`repro.tracing.residency`) — the
+  main thread therefore *drops its hook entirely* from inside the
+  dispatch, and is re-armed via a signal when a feature goes live
+  (``sys.settrace`` is per-thread and only a signal handler runs code in
+  the main thread on demand); a re-arm raised on the main thread itself
+  (an import there making a breakpoint file resident) is synchronous.
+  Non-main threads keep their hooks so asynchronous suspend keeps
+  working unchanged.
 * :class:`MonitoringBackend` — PEP 669 ``sys.monitoring`` (3.12+),
   auto-detected and selectable via ``DIONEA_TRACE_BACKEND``.  Events are
   registered per tool and disabled wholesale while quiet; per-code-object
@@ -141,15 +144,15 @@ class SettraceBackend(TraceBackend):
     # -- arming ------------------------------------------------------------
 
     def sync(self) -> None:
-        """Re-arm the demoted main thread when a feature goes live.
+        """Re-arm the demoted main thread when it stops being idle.
 
-        Quiet-direction edges need no action here: demotion is lazy (the
+        Idle-direction edges need no action here: demotion is lazy (the
         dispatch drops the hook at the next call event it sees).
         """
         engine = self.engine
         if engine is None or not engine._installed or not engine._enabled:
             return
-        if engine._quiet or not engine._main_demoted:
+        if engine._main_idle or not engine._main_demoted:
             return
         if threading.get_ident() == engine._main_ident:
             sys.settrace(engine._global_dispatch)
@@ -165,7 +168,7 @@ class SettraceBackend(TraceBackend):
         """Runs in the main thread: restore the dropped trace hook."""
         engine = self.engine
         if (engine is not None and engine._installed
-                and engine._main_demoted and not engine._quiet):
+                and engine._main_demoted and not engine._main_idle):
             sys.settrace(engine._global_dispatch)
             engine._main_demoted = False
             # A global hook only fires at the next *call* event.  A
@@ -190,8 +193,8 @@ class SettraceBackend(TraceBackend):
         # the re-arm signal will reach from now on.
         engine._main_ident = threading.get_ident()
         threading.settrace(engine._global_dispatch)
-        if engine._fastpath and engine._demotable and engine._quiet:
-            # Quiet child: stay (or become) demoted; the dispatch would
+        if engine._fastpath and engine._demotable and engine._main_idle:
+            # Idle child: stay (or become) demoted; the dispatch would
             # drop the hook at the first call event anyway.
             sys.settrace(None)
             engine._main_demoted = True

@@ -13,10 +13,12 @@ Responsibilities:
   function at all.  Two layers keep section 7's overhead down:
 
   - the **armed/disarmed hook lifecycle**: while nothing is being
-    debugged the main thread physically drops its trace hook (on 3.11+
-    any per-thread hook defeats the specializing interpreter, which
-    costs far more than the dispatch itself) and is re-armed via a
-    signal when a feature goes live;
+    debugged — or only *pending* line breakpoints are set, whose files
+    have no code in this process yet (:mod:`~repro.tracing.residency`)
+    — the main thread physically drops its trace hook (on 3.11+ any
+    per-thread hook defeats the specializing interpreter, which costs
+    far more than the dispatch itself) and is re-armed when a feature
+    goes live or a breakpoint file's code is loaded;
   - the **per-code fast path**: while only breakpoints are live, a
     :class:`~repro.tracing.linetable.LineTable` probe answers "can this
     code object ever hit one?" in a single dict lookup, declining local
@@ -140,6 +142,9 @@ class TraceEngine:
         self._demotable = False
         self._main_demoted = False
         self._arm_epoch = 0
+        #: the interpreter's residency record while installed (None
+        #: before install, so an idle engine never scans the heap).
+        self._residency = None
 
         #: precomputed "nothing is being debugged" flag: True while there
         #: are no breakpoints, no stepping UEs, no pending suspends and
@@ -149,6 +154,11 @@ class TraceEngine:
         #: True while *only* breakpoints are live — the state in which a
         #: LineTable probe alone decides whether a frame needs tracing.
         self._code_fastpath_ok = False
+        #: True while the main thread may drop its hook: quiet, or (on a
+        #: demotable engine) only line breakpoints are set and none of
+        #: their files has code here.  Not the same as quiet — other
+        #: threads keep probing the LineTable while breakpoints pend.
+        self._main_idle = True
 
         self.breakpoints.on_change = self._breakpoints_changed
         from .watchpoints import WatchpointStore
@@ -189,7 +199,13 @@ class TraceEngine:
             if self._installed:
                 raise TraceError("trace engine already installed")
             self._installed = True
+        # Imported here, not at module level: importing repro must not
+        # load it, and its audit hook is added only by an install.
+        from .residency import RESIDENCY
+        self._residency = RESIDENCY
+        RESIDENCY.attach(self)
         self._backend.install(self)
+        self.refresh_quiet()
         # Expose the hot-path counters as callback gauges: the fast path
         # stays untouched (§7's overhead band); the registry reads the
         # plain ints only at snapshot time.
@@ -209,6 +225,9 @@ class TraceEngine:
                 return
             self._installed = False
         self._backend.uninstall()
+        residency, self._residency = self._residency, None
+        if residency is not None:
+            residency.detach(self)
         for gauge in ("trace.events", "trace.fastpath_hits",
                       "trace.local_installs"):
             obs_metrics.REGISTRY.unregister_gauge(gauge)
@@ -227,6 +246,17 @@ class TraceEngine:
 
     def refresh_quiet(self) -> None:
         """Recompute the fast-path flags after any feature toggle."""
+        residency = self._residency
+        if residency is None:
+            self._refresh_flags()
+            return
+        # The audit hook marks breakpoint files resident from any
+        # thread; computing and publishing under its lock keeps a stale
+        # "all pending" from overwriting the re-arm that followed it.
+        with residency.lock:
+            self._refresh_flags()
+
+    def _refresh_flags(self) -> None:
         disturb = self.disturb
         other_quiet = (self.watchpoints.is_empty
                        and not self._exception_breaks
@@ -234,15 +264,37 @@ class TraceEngine:
                        and not self.controller.has_pending
                        and (disturb is None or not disturb.enabled))
         quiet = other_quiet and self.breakpoints.is_empty
-        self._code_fastpath_ok = self._fastpath and other_quiet
-        was_quiet = self._quiet
+        fastpath_ok = self._fastpath and other_quiet
+        self._code_fastpath_ok = fastpath_ok
+        main_idle = self._only_pending_breaks(fastpath_ok) or quiet
+        was_quiet, was_idle = self._quiet, self._main_idle
         self._quiet = quiet
-        if was_quiet != quiet and self._installed:
-            if not quiet:
+        self._main_idle = main_idle
+        if (was_quiet != quiet or was_idle != main_idle) and self._installed:
+            if was_idle and not main_idle:
                 # Closes the demote-vs-arm race: a main thread caught
                 # mid-demotion re-checks the epoch and restores itself.
                 self._arm_epoch += 1
             self._backend.sync()
+
+    def _only_pending_breaks(self, fastpath_ok: bool) -> bool:
+        """Only line breakpoints are set and none of their files has
+        code here (the query also tells the audit hook what to watch)."""
+        residency = self._residency
+        if (residency is None or not fastpath_ok or not self._demotable
+                or self.breakpoints.has_function_breaks()):
+            return False
+        files = self.breakpoints.files_with_breakpoints()
+        return bool(files) and len(residency.pending(files)) == len(files)
+
+    def pending_breakpoint_files(self) -> frozenset:
+        """Canonical files of line breakpoints that no code loaded in
+        this process came from — gdb's ``<PENDING>``.  Empty while the
+        engine is not installed."""
+        residency = self._residency
+        if residency is None:
+            return frozenset()
+        return residency.pending(self.breakpoints.files_with_breakpoints())
 
     def _breakpoints_changed(self) -> None:
         """Breakpoint mutation: invalidate per-code caches, then rearm.
@@ -402,11 +454,11 @@ class TraceEngine:
         if skip is None:
             skip = self._should_skip(filename)
         if skip:
-            # Skipped frames never demote-gate the quiet check below, so
+            # Skipped frames never demote-gate the checks below, so
             # re-check here: a main thread that only executes debugger
             # infrastructure (or "<string>" code) after the engine goes
-            # quiet must still drop its hook.
-            if (self._quiet and self._demotable
+            # idle must still drop its hook.
+            if (self._main_idle and self._demotable
                     and _get_ident() == self._main_ident):
                 self._demote_main_thread()
             return None
@@ -417,11 +469,16 @@ class TraceEngine:
             return None
         if self._code_fastpath_ok and not self._lt_probe(frame.f_code):
             self.fastpath_hits += 1
+            # Only pending breakpoints: the main thread can drop its
+            # hook too; the residency audit hook re-arms it.
+            if (self._main_idle and self._demotable
+                    and _get_ident() == self._main_ident):
+                self._demote_main_thread()
             return None
         return self._slow_dispatch(frame, event, arg)
 
     def _demote_main_thread(self) -> None:
-        """Quiet main thread: physically drop this thread's trace hook.
+        """Idle main thread: physically drop this thread's trace hook.
 
         Runs inside the dispatch, in the main thread.  The backend's
         re-arm signal handler restores the hook when a feature goes
@@ -435,7 +492,7 @@ class TraceEngine:
         if not self._installed:
             self._main_demoted = False
             return
-        if self._arm_epoch != epoch or not self._quiet:
+        if self._arm_epoch != epoch or not self._main_idle:
             self._main_demoted = False
             sys.settrace(self._global_dispatch)
 
@@ -658,6 +715,10 @@ class TraceEngine:
         own copy (the PROTOCOL.md invalidation-broadcast contract).
         """
         surviving = UEId.current()
+        if self._residency is not None:
+            # Before refresh_quiet takes it: the fork-handler phase C that
+            # calls us may run ahead of residency's own at-fork reset.
+            self._residency.reset_after_fork()
         with self._lock:
             self._states = {surviving: StepState()}
             self._active_steppers = set()

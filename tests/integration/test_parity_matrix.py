@@ -125,8 +125,39 @@ def _run_variant(fastpath):
     return result, [_stop_signature(s) for s in script.stops], bp.hit_count
 
 
+def _run_pending_variant(fastpath, path):
+    """A breakpoint set before its file is loaded, then an import-like
+    exec of that file; returns (stop lines, hits, pending before)."""
+    engine = TraceEngine(park_timeout=5.0, backend="settrace",
+                         fastpath=fastpath)
+    script = Scripted(engine=engine)
+    source = "def work(n):\n    for i in range(n):\n        pass\n"
+    bp = engine.breakpoints.add(path, 3)
+    namespace = {}
+
+    def load_and_run():
+        pending = engine.pending_breakpoint_files()
+        exec(compile(source, path, "exec"), namespace)
+        namespace["work"](2)
+        return pending
+
+    pending = script.run(load_and_run)
+    return [s.top.line for s in script.stops], bp.hit_count, pending
+
+
 class TestFastpathStopStreamParity:
     """The literal stop streams must match, not just pass/fail."""
+
+    def test_pending_then_resident_stop_streams_match(self, tmp_path):
+        # one file per variant: residency is sticky per interpreter
+        on_path = str(tmp_path / "on.py")
+        off_path = str(tmp_path / "off.py")
+        stops_on, hits_on, pending_on = _run_pending_variant(True, on_path)
+        stops_off, hits_off, pending_off = _run_pending_variant(
+            False, off_path)
+        assert stops_on == stops_off == [3, 3]
+        assert hits_on == hits_off == 2
+        assert pending_on == {on_path} and pending_off == {off_path}
 
     def test_identical_stop_streams_and_hit_counts(self):
         result_on, stops_on, hits_on = _run_variant(fastpath=True)

@@ -54,6 +54,15 @@ class TestBreakpointCommands:
         assert "temporary breakpoint" in out
         assert "temporary" in shell.execute("breaks")
 
+    def test_pending_break_is_flagged(self, shell_env, tmp_path):
+        shell, *_ = shell_env
+        absent = tmp_path / "not_loaded.py"
+        out = shell.execute(f"break {absent}:3")
+        assert out.endswith("(pending)")
+        assert "pending" not in shell.execute(f"break {SRC}:{SHELL_BP_LINE}")
+        listing = shell.execute("breaks").splitlines()
+        assert "pending" in listing[0] and "pending" not in listing[1]
+
     def test_breakf(self, shell_env):
         shell, *_ = shell_env
         out = shell.execute("breakf worker")

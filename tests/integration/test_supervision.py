@@ -191,6 +191,39 @@ class TestClientLossGrace:
         finally:
             server.close()
 
+    def test_grace_expiry_releases_under_disturb_mode(
+            self, waiter, portfile_path):
+        """§6.4 disturb mode parks every new thread on its first traced
+        call.  The grace timer is a new thread too: it must be exempt
+        (a ``dionea-*`` name) or the held UEs are never released."""
+        from repro.core import Dionea
+        debugger = Dionea(program="t", portfile_path=portfile_path,
+                          park_timeout=30.0, client_loss_grace=0.3)
+        debugger.start()
+        try:
+            client = DebugClient()
+            session = client.attach("127.0.0.1", debugger.port)
+            debugger.disturb_mode.set_enabled(True)
+            traced_loop(1)  # this thread is seen first: the primary UE
+            box = {}
+            thread = threading.Thread(
+                target=lambda: box.setdefault("r", traced_loop(3)))
+            thread.start()
+            view = client.wait_for_stop(timeout=10)[0]
+            assert view.capture.reason == "disturb"
+
+            session.close()
+            waiter(lambda: debugger.server.grace_pending,
+                   message="grace window")
+            thread.join(10)
+            assert box.get("r") == 3, "grace timer never released the UE"
+            client.close()
+        finally:
+            debugger.disturb_mode.set_enabled(False)
+            debugger.stop()
+        assert not [t for t in threading.enumerate()
+                    if t.name == "dionea-grace"]
+
     def test_reattach_within_grace_reclaims_parked_ues(self, waiter):
         """The acceptance path: client restarts inside the window,
         presents its resume token, and finds stop state + breakpoints

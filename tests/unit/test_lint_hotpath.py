@@ -1,4 +1,5 @@
-"""Unit tests: the hot-path lint's clock-pair rule (tools/lint_hotpath)."""
+"""Unit tests: the hot-path lint's clock-pair and audit-hook rules
+(tools/lint_hotpath)."""
 
 import importlib.util
 import os
@@ -49,6 +50,45 @@ class TestClockPairRule:
     def test_timeline_modules_are_scanned(self, lint):
         for module in lint.CLOCK_PAIR_MODULES:
             assert os.path.isfile(os.path.join(REPO_ROOT, module)), module
+
+
+class TestAuditHookRule:
+    def _hook(self, tmp_path, body):
+        path = tmp_path / "hook.py"
+        path.write_text("def _audit_hook(event, args):\n" + body)
+        return str(path)
+
+    def test_filter_first_passes(self, lint, tmp_path):
+        path = self._hook(tmp_path,
+                          "    if event not in WATCHED:\n"
+                          "        return\n"
+                          "    with LOCK:\n"
+                          "        obs_metrics.inc('x')\n")
+        assert lint.find_audit_hook_prefix_costs(path) == []
+
+    @pytest.mark.parametrize("prefix, what", [
+        ("    obs_metrics.inc('audit.events')\n", "obs_metrics.inc"),
+        ("    LOCK.acquire()\n", ".acquire(...)"),
+        ("    with LOCK:\n        pass\n", "with-block"),
+    ])
+    def test_cost_before_early_return_is_flagged(self, lint, tmp_path,
+                                                 prefix, what):
+        path = self._hook(tmp_path, prefix +
+                          "    if event not in WATCHED:\n"
+                          "        return\n")
+        hits = lint.find_audit_hook_prefix_costs(path)
+        assert len(hits) == 1 and what in hits[0][1]
+
+    def test_lookup_in_the_filter_test_is_flagged(self, lint, tmp_path):
+        path = self._hook(tmp_path,
+                          "    if not obs_metrics.enabled:\n"
+                          "        return\n")
+        assert lint.find_audit_hook_prefix_costs(path)
+
+    def test_missing_early_return_is_flagged(self, lint, tmp_path):
+        path = self._hook(tmp_path, "    RESIDENCY.saw(event, args)\n")
+        hits = lint.find_audit_hook_prefix_costs(path)
+        assert len(hits) == 1 and "early" in hits[0][1]
 
 
 class TestWholeRepo:

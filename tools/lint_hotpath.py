@@ -15,7 +15,9 @@ lookup.  That function runs on every call event of every debuggee
 thread; its counters are plain ints exported as callback gauges at
 install time, and a casually added ``obs_metrics.inc(...)`` would put an
 attribute lookup plus a shard update on the path the §7 overhead budget
-is spent on.
+is spent on.  The residency audit hook, which runs on every audited
+event of every thread, gets the same rule plus a ban on taking a lock
+ahead of its early return.
 
 Usage: ``python tools/lint_hotpath.py [repo-root]`` — exits non-zero and
 prints one line per offending import.
@@ -84,6 +86,66 @@ def find_fastpath_metric_lookups(path: str) -> list:
                 and node.value.id == FASTPATH_BANNED_NAME):
             hits.append((node.lineno,
                          f"{FASTPATH_BANNED_NAME}.{node.attr}"))
+    return hits
+
+
+#: The residency audit hook (PEP 578) runs on every audited event of
+#: every thread for the life of the interpreter — opens, socket calls,
+#: imports — and cannot be removed.  Everything ahead of its early
+#: return (the filter down to code-loading events) is paid by all of
+#: them, so it may neither look up ``obs_metrics`` nor take a lock.
+AUDIT_HOOK_MODULE = os.path.join("src", "repro", "tracing", "residency.py")
+AUDIT_HOOK_FUNCTION = "_audit_hook"
+
+
+def _is_early_return(node) -> bool:
+    return (isinstance(node, ast.If) and len(node.body) == 1
+            and isinstance(node.body[0], ast.Return)
+            and (node.body[0].value is None
+                 or (isinstance(node.body[0].value, ast.Constant)
+                     and node.body[0].value.value is None)))
+
+
+def find_audit_hook_prefix_costs(path: str) -> list:
+    """(lineno, what) for each ``obs_metrics.<attr>``, ``.acquire()``
+    call or ``with`` block before (or in the test of) the audit hook's
+    first ``if ...: return``.  Returns a sentinel entry when the hook or
+    its early return is missing — a rename or restructure must update
+    this lint, not silently disable it."""
+    with open(path, "r", encoding="utf-8") as fh:
+        source = fh.read()
+    tree = ast.parse(source, filename=path)
+    function = next(
+        (node for node in ast.walk(tree)
+         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+         and node.name == AUDIT_HOOK_FUNCTION), None)
+    if function is None:
+        return [(0, f"function {AUDIT_HOOK_FUNCTION!r} not found — "
+                    f"update tools/lint_hotpath.py for the rename")]
+    prefix = []
+    for stmt in function.body:
+        if _is_early_return(stmt):
+            prefix.append(stmt.test)
+            break
+        prefix.append(stmt)
+    else:
+        return [(function.lineno,
+                 f"{AUDIT_HOOK_FUNCTION} has no early 'if ...: return' "
+                 f"filtering the audited events")]
+    hits = []
+    for part in prefix:
+        for node in ast.walk(part):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == FASTPATH_BANNED_NAME):
+                hits.append((node.lineno,
+                             f"{FASTPATH_BANNED_NAME}.{node.attr}"))
+            elif (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "acquire"):
+                hits.append((node.lineno, ".acquire(...)"))
+            elif isinstance(node, (ast.With, ast.AsyncWith)):
+                hits.append((node.lineno, "with-block (lock acquisition)"))
     return hits
 
 
@@ -260,6 +322,16 @@ def main(argv: list) -> int:
             f"{rel}:{lineno}: {what} inside {FASTPATH_FUNCTION} "
             f"(no obs lookups on the global-trace fast path; use a "
             f"plain int + callback gauge)")
+    hook_path = os.path.join(root, AUDIT_HOOK_MODULE)
+    if not os.path.isfile(hook_path):
+        print(f"lint-hotpath: missing {hook_path}", file=sys.stderr)
+        return 2
+    for lineno, what in find_audit_hook_prefix_costs(hook_path):
+        rel = os.path.relpath(hook_path, root)
+        problems.append(
+            f"{rel}:{lineno}: {what} ahead of {AUDIT_HOOK_FUNCTION}'s "
+            f"early return (every audited event of every thread pays "
+            f"for it; filter first)")
     reactor_path = os.path.join(root, REACTOR_MODULE)
     if not os.path.isfile(reactor_path):
         print(f"lint-hotpath: missing {reactor_path}", file=sys.stderr)
@@ -297,7 +369,8 @@ def main(argv: list) -> int:
         print("\n".join(problems))
         return 1
     print(f"lint-hotpath: OK ({', '.join(HOT_PACKAGES)} are "
-          f"logging-free; {FASTPATH_FUNCTION} is obs-free; the client "
+          f"logging-free; {FASTPATH_FUNCTION} is obs-free; "
+          f"{AUDIT_HOOK_FUNCTION} filters before any obs or lock; the client "
           f"reactor has no blocking calls; fork-phase bodies have no "
           f"blocking calls; timeline modules pair wall with monotonic)")
     return 0
